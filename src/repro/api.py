@@ -574,29 +574,19 @@ class MultiTenantRequest:
 AnyRequest = Union[SimulationRequest, MultiTenantRequest]
 
 #: Version of the :func:`encode_request_batch` wire form (the unit of work
-#: a coordinator ships to a ``repro worker`` process).
+#: a sweep coordinator ships to a service's ``POST /batch``).
 BATCH_SCHEMA = 1
 
-def result_digest(payload: Any) -> str:
-    """Blake2b content digest of a result payload's canonical JSON form.
-
-    Re-exported integrity primitive (the import is deferred because
-    ``repro.harness`` imports this module at package init): the digest
-    stamped onto cache envelopes, worker outcome rows and serve's
-    ``X-Repro-Digest`` header — one definition, verified identically at
-    every hop.  See :func:`repro.harness.integrity.result_digest`.
-    """
-    from repro.harness.integrity import result_digest as _digest
-
-    return _digest(payload)
+#: Version of the ``POST /batch`` response envelope (``"BatchOutcome"``).
+OUTCOME_SCHEMA = 1
 
 
 def decode_request(payload: Any) -> AnyRequest:
     """Dispatch a request wire-form payload to the matching ``from_dict``.
 
-    The single decoder shared by the serving layer (``POST /simulate``)
-    and the distributed worker (``POST /batch``), so the two front ends can
-    never disagree on what a request payload means.
+    The single decoder behind both service routes (``POST /simulate`` and,
+    per element, ``POST /batch``), so they can never disagree on what a
+    request payload means.
     """
     if not isinstance(payload, Mapping):
         raise ValueError(
@@ -613,7 +603,7 @@ def decode_request(payload: Any) -> AnyRequest:
 def encode_request_batch(requests: Sequence[AnyRequest]) -> dict:
     """Versioned JSON-safe form of a request list (order-preserving).
 
-    The batch envelope a sweep coordinator POSTs to ``repro worker``; each
+    The batch envelope a sweep coordinator POSTs to ``/batch``; each
     element is the request's own versioned wire form, so a batch of one is
     exactly one ``to_dict()`` payload inside a list.
     """

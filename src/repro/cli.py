@@ -1110,33 +1110,30 @@ def cmd_scenarios_promote(args) -> int:
 # repro serve / repro submit
 # ---------------------------------------------------------------------------
 def cmd_serve(args) -> int:
+    """``repro serve`` — and ``repro worker``, the same service under worker
+    defaults (port 8652, one worker, the serve-only knobs at theirs)."""
     import asyncio
 
     from repro.serve import ReproService, run_service
 
-    if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
-    if args.batch_max < 1:
-        print("error: --batch-max must be >= 1", file=sys.stderr)
-        return 2
-    if args.linger < 0:
-        print("error: --linger must be >= 0", file=sys.stderr)
-        return 2
-    if args.backend is not None:
+    checks = (
+        (args.workers < 1, "--workers must be >= 1"),
+        (args.batch_max < 1, "--batch-max must be >= 1"),
+        (args.linger < 0, "--linger must be >= 0"),
+        (args.retry_max < 1, "--retry-max must be >= 1"),
+        (args.batch_timeout is not None and args.batch_timeout <= 0,
+         "--batch-timeout must be positive"),
+        (args.max_queue_depth is not None and args.max_queue_depth < 1,
+         "--max-queue-depth must be >= 1"),
+    )
+    error = next((message for bad, message in checks if bad), None)
+    if error is None and args.backend is not None:
         try:
             args.backend = resolve_backend_name(args.backend)
         except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
-    if args.retry_max < 1:
-        print("error: --retry-max must be >= 1", file=sys.stderr)
-        return 2
-    if args.batch_timeout is not None and args.batch_timeout <= 0:
-        print("error: --batch-timeout must be positive", file=sys.stderr)
-        return 2
-    if args.max_queue_depth is not None and args.max_queue_depth < 1:
-        print("error: --max-queue-depth must be >= 1", file=sys.stderr)
+            error = exc.args[0]
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
         return 2
     retry = None
     if args.retry_max > 1 or args.batch_timeout is not None:
@@ -1156,25 +1153,36 @@ def cmd_serve(args) -> int:
         max_queue_depth=args.max_queue_depth,
     )
     try:
-        # The announce line goes to stdout (flushed) so scripts — the CI
-        # smoke job, test harnesses — can parse the bound port when
+        # The announce line goes to stdout (flushed) so scripts — CI smokes,
+        # coordinators, test harnesses — can parse the bound port when
         # --port 0 asked for an ephemeral one.
-        asyncio.run(run_service(service, announce=lambda m: print(m, flush=True)))
+        asyncio.run(run_service(
+            service,
+            announce=lambda address: print(
+                f"repro {args.command} listening on {address}", flush=True
+            ),
+        ))
     except KeyboardInterrupt:
         pass  # the signal handler already drained; a second ^C lands here
-    snapshot = service.stats.snapshot()
-    print(
-        f"drained: {snapshot['requests']} requests "
-        f"({snapshot['hits']} hits, {snapshot['coalesced']} coalesced, "
-        f"{snapshot['executed']} executed, {snapshot['failed']} failed, "
-        f"{snapshot['shed']} shed, {snapshot['timed_out']} timed out, "
-        f"{snapshot['retried']} retried)",
-        flush=True,
-    )
+    if args.command == "worker":
+        print(
+            f"drained: {service.batch_requests} batch(es), "
+            f"{service.batch_jobs_done} job(s) done, "
+            f"{service.batch_jobs_failed} failed",
+            flush=True,
+        )
+    else:
+        snapshot = service.stats.snapshot()
+        print(
+            f"drained: {snapshot['requests']} requests "
+            f"({snapshot['hits']} hits, {snapshot['coalesced']} coalesced, "
+            f"{snapshot['executed']} executed, {snapshot['failed']} failed, "
+            f"{snapshot['shed']} shed, {snapshot['timed_out']} timed out, "
+            f"{snapshot['retried']} retried)",
+            flush=True,
+        )
     summary = service.drain_summary or {}
     if summary.get("drain_errors"):
-        # Satellite fix: these used to be silently swallowed by
-        # gather(..., return_exceptions=True) during shutdown.
         print(f"warning: {summary['drain_errors']} worker error(s) during "
               "drain:", file=sys.stderr)
         for message in summary.get("errors", []):
@@ -1183,46 +1191,11 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def cmd_worker(args) -> int:
-    import asyncio
-
-    from repro.harness.distributed import WorkerServer, run_worker
-
-    if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
-    if args.backend is not None:
-        try:
-            args.backend = resolve_backend_name(args.backend)
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
-    server = WorkerServer(
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        backend=args.backend,
-        cache=_cache_from_args(args),
-    )
-    try:
-        # Announce on stdout (flushed) so coordinators and smoke scripts
-        # can parse the bound port when --port 0 asked for an ephemeral one.
-        asyncio.run(run_worker(server, announce=lambda m: print(m, flush=True)))
-    except KeyboardInterrupt:
-        pass  # the signal handler already drained; a second ^C lands here
-    print(
-        f"drained: {server.batches} batch(es), {server.jobs_done} job(s) done, "
-        f"{server.jobs_failed} failed",
-        flush=True,
-    )
-    return 0
-
-
 def cmd_submit(args) -> int:
-    import http.client
     import urllib.parse
 
     from repro.serve import DEFAULT_PORT
+    from repro.serve.http import http_request
 
     if args.file:
         try:
@@ -1250,19 +1223,11 @@ def cmd_submit(args) -> int:
     url = urllib.parse.urlsplit(args.url)
     host = url.hostname or "127.0.0.1"
     port = url.port or DEFAULT_PORT
-    conn = http.client.HTTPConnection(host, port, timeout=args.timeout)
     try:
-        conn.request(
-            "POST",
-            "/simulate",
-            body=json.dumps(payload),
-            headers={"Content-Type": "application/json"},
+        response = http_request(
+            host, port, "POST", "/simulate", json.dumps(payload).encode(),
+            timeout=args.timeout,
         )
-        response = conn.getresponse()
-        body = response.read()
-        status = response.status
-        source = response.getheader("X-Repro-Source", "")
-        job_id = response.getheader("X-Repro-Job", "")
     except TimeoutError:
         # socket.timeout is TimeoutError: a server that accepts but never
         # answers (or a hung simulation) lands here, not in the generic
@@ -1275,9 +1240,10 @@ def cmd_submit(args) -> int:
         print(f"error: cannot reach {args.url}: {exc} "
               "(is `repro serve` running?)", file=sys.stderr)
         return 1
-    finally:
-        conn.close()
 
+    status, body = response.status, response.body
+    source = response.headers.get("x-repro-source", "")
+    job_id = response.headers.get("x-repro-job", "")
     if status != 200:
         print(f"error: server answered {status}: {body.decode(errors='replace')}",
               file=sys.stderr)
@@ -1513,69 +1479,80 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print what would be promoted without writing")
     p_prom.set_defaults(func=cmd_scenarios_promote)
 
-    from repro.harness.distributed import DEFAULT_WORKER_PORT
-    from repro.serve.server import DEFAULT_PORT
+    from repro.serve.server import DEFAULT_PORT, DEFAULT_WORKER_PORT
+
+    def add_service_options(p, *, port: int, workers: int, workers_help: str,
+                            cache_help: str) -> None:
+        """Options of the one service, shared by ``serve`` and ``worker``."""
+        p.add_argument("--host", default="127.0.0.1",
+                       help="bind address (default 127.0.0.1)")
+        p.add_argument("--port", type=int, default=port,
+                       help=f"TCP port (default {port}; 0 picks an "
+                            "ephemeral port, announced on stdout)")
+        p.add_argument("--workers", type=int, default=workers,
+                       help=f"{workers_help} (default {workers})")
+        p.add_argument("--no-cache", action="store_true", help=cache_help)
+        p.add_argument("--backend", default=None, metavar="NAME",
+                       help="engine for jobs that do not pin one, one of: "
+                            f"{', '.join(backend_names())} "
+                            "(default: REPRO_BACKEND or 'reference')")
 
     p_serve = sub.add_parser(
         "serve",
         help="boot the long-lived simulation service (HTTP/JSON; see "
              "docs/SERVING.md)",
     )
-    p_serve.add_argument("--host", default="127.0.0.1",
-                         help="bind address (default 127.0.0.1)")
-    p_serve.add_argument("--port", type=int, default=DEFAULT_PORT,
-                         help=f"TCP port (default {DEFAULT_PORT}; 0 picks an "
-                              "ephemeral port, announced on stdout)")
-    p_serve.add_argument("--workers", type=int, default=2,
-                         help="worker threads draining request batches into "
-                              "run_batch (default 2)")
-    p_serve.add_argument("--batch-max", type=int, default=16,
-                         help="most requests dispatched per batch (default 16)")
-    p_serve.add_argument("--linger", type=float, default=0.05, metavar="SECONDS",
-                         help="window after the first queued miss in which "
-                              "later arrivals join its batch (default 0.05)")
-    p_serve.add_argument("--no-cache", action="store_true",
-                         help="serve without the on-disk result cache (every "
-                              "distinct request simulates)")
-    p_serve.add_argument("--backend", default=None, metavar="NAME",
-                         help="engine for requests that do not pin one, one of: "
-                              f"{', '.join(backend_names())} "
-                              "(default: REPRO_BACKEND or 'reference')")
-    p_serve.add_argument("--batch-timeout", type=float, default=None,
-                         metavar="SECONDS",
-                         help="per-batch deadline: a batch running longer "
-                              "fails its jobs with BatchTimeoutError and its "
-                              "worker thread is abandoned (default: none)")
-    p_serve.add_argument("--retry-max", type=int, default=1, metavar="N",
-                         help="attempts per dispatched batch, with seeded "
-                              "backoff between them (default 1 = no retry)")
-    p_serve.add_argument("--max-queue-depth", type=int, default=None,
-                         metavar="N",
-                         help="load-shedding threshold: new leader requests "
-                              "get 503 + Retry-After while the dispatch "
-                              "queue is this deep (default: never shed)")
+    add_service_options(
+        p_serve, port=DEFAULT_PORT, workers=2,
+        workers_help="simulations run at once: threads draining /simulate "
+                     "batches into run_batch, and the run_jobs width of a "
+                     "/batch",
+        cache_help="serve without the on-disk result cache (every distinct "
+                   "request simulates)",
+    )
+    serve_only = (
+        p_serve.add_argument("--batch-max", type=int, default=16,
+                             help="most requests dispatched per batch "
+                                  "(default 16)"),
+        p_serve.add_argument("--linger", type=float, default=0.05,
+                             metavar="SECONDS",
+                             help="window after the first queued miss in "
+                                  "which later arrivals join its batch "
+                                  "(default 0.05)"),
+        p_serve.add_argument("--batch-timeout", type=float, default=None,
+                             metavar="SECONDS",
+                             help="per-batch deadline: a batch running longer "
+                                  "fails its jobs with BatchTimeoutError and "
+                                  "its worker thread is abandoned (default: "
+                                  "none)"),
+        p_serve.add_argument("--retry-max", type=int, default=1, metavar="N",
+                             help="attempts per dispatched batch, with seeded "
+                                  "backoff between them (default 1 = no "
+                                  "retry)"),
+        p_serve.add_argument("--max-queue-depth", type=int, default=None,
+                             metavar="N",
+                             help="load-shedding threshold: new leader "
+                                  "requests get 503 + Retry-After while the "
+                                  "dispatch queue is this deep (default: "
+                                  "never shed)"),
+    )
     p_serve.set_defaults(func=cmd_serve)
 
     p_worker = sub.add_parser(
         "worker",
-        help="boot a long-lived sweep worker for `repro sweep --workers-at` "
-             "(HTTP/JSON batches; see docs/DISTRIBUTED.md)",
+        help="boot the service with sweep-worker defaults for `repro sweep "
+             "--workers-at` (HTTP/JSON batches; see docs/DISTRIBUTED.md)",
     )
-    p_worker.add_argument("--host", default="127.0.0.1",
-                          help="bind address (default 127.0.0.1)")
-    p_worker.add_argument("--port", type=int, default=DEFAULT_WORKER_PORT,
-                          help=f"TCP port (default {DEFAULT_WORKER_PORT}; 0 "
-                               "picks an ephemeral port, announced on stdout)")
-    p_worker.add_argument("--workers", type=int, default=1,
-                          help="process-pool width for each batch this worker "
-                               "executes (default 1 = in-process)")
-    p_worker.add_argument("--no-cache", action="store_true",
-                          help="execute without the on-disk result cache")
-    p_worker.add_argument("--backend", default=None, metavar="NAME",
-                          help="engine for jobs that do not pin one, one of: "
-                               f"{', '.join(backend_names())} "
-                               "(default: REPRO_BACKEND or 'reference')")
-    p_worker.set_defaults(func=cmd_worker)
+    add_service_options(
+        p_worker, port=DEFAULT_WORKER_PORT, workers=1,
+        workers_help="process-pool width for each batch this worker "
+                     "executes; 1 runs in-process",
+        cache_help="execute without the on-disk result cache",
+    )
+    # The preset: the serve-only knobs sit at serve's defaults.
+    p_worker.set_defaults(
+        func=cmd_serve, **{action.dest: action.default for action in serve_only}
+    )
 
     p_submit = sub.add_parser(
         "submit",

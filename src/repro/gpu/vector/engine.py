@@ -421,13 +421,6 @@ class VectorSM(StreamingMultiprocessor):
             kind_code = kind_codes[i]
             if kind_code == _C_BARRIER or kind_code == _C_EXIT:
                 break
-            if not warp.active and (kind_code == _C_LOAD or kind_code == _C_STORE):
-                # Throttled warps may not issue global memory instructions
-                # (unless their CTA is parked at a barrier — the reference
-                # engine's _inactive_may_issue safeguard): not issuable.
-                cta = self.ctas.get(warp.cta_id)
-                if cta is not None and cta.num_at_barrier == 0:
-                    break
             if on_cycle is not None:
                 due = due_fn()
                 if due is None:
@@ -437,6 +430,13 @@ class VectorSM(StreamingMultiprocessor):
                     due = due_fn()
                     if due is None or due <= now:
                         break
+            if not warp.active and (kind_code == _C_LOAD or kind_code == _C_STORE):
+                # Throttled warps may not issue global memory instructions
+                # (unless their CTA is parked at a barrier — the reference
+                # engine's _inactive_may_issue safeguard): not issuable.
+                cta = self.ctas.get(warp.cta_id)
+                if cta is not None and cta.num_at_barrier == 0:
+                    break
             instruction = instructions[i]
             self.cycle = now
             if kind_code == _C_LOAD or kind_code == _C_STORE:

@@ -34,7 +34,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
-import json
 import os
 import pickle
 import tempfile
@@ -43,6 +42,7 @@ from pathlib import Path
 from typing import Any, Mapping, Optional, Union
 
 from repro.harness.integrity import (
+    canonical_json,
     default_quarantine_dir,
     quarantine_file,
     result_digest,
@@ -161,8 +161,7 @@ def job_key(
         "run_config": canonicalize(run_config),
         "backend": backend,
     }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return hashlib.sha256(canonical_json(payload)).hexdigest()
 
 
 def multi_tenant_job_key(
@@ -188,8 +187,7 @@ def multi_tenant_job_key(
         "run_config": canonicalize(run_config),
         "backend": backend,
     }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return hashlib.sha256(canonical_json(payload)).hexdigest()
 
 
 @dataclass

@@ -4,14 +4,14 @@ This is the remote runner beside :class:`repro.harness.parallel._PoolRunner`
 — the ROADMAP's "refactor that unlocks millions-of-users sweep volume".
 Every ingredient already existed; this module only wires them together:
 
-* **Workers** (:class:`WorkerServer`, the ``repro worker`` entry point) are
-  long-lived processes reusing the serve layer's HTTP plumbing
-  (:mod:`repro.serve.http`).  ``POST /batch`` accepts a
-  :func:`repro.api.encode_request_batch` payload — the same versioned
-  request wire forms ``repro serve`` speaks — executes it through
-  :func:`repro.harness.parallel.run_jobs` with the full retry / timeout /
-  chaos stack, and answers one outcome row per job plus the shard's sweep
-  statistics and ledger row.
+* **Workers** are any running repro service
+  (:class:`repro.serve.server.ReproService`; ``repro worker`` is that
+  service with worker defaults, ``repro serve`` works just as well).  Its
+  ``POST /batch`` route accepts a :func:`repro.api.encode_request_batch`
+  payload — the same versioned request wire forms ``/simulate`` speaks —
+  executes it through :func:`repro.harness.parallel.run_jobs` with the
+  full retry / timeout / chaos stack, and answers one outcome row per job
+  plus the shard's sweep statistics and ledger row.
 * **The coordinator** (:func:`run_distributed`, behind ``repro sweep
   --workers-at``) partitions the job list by content-addressed cache key
   (:class:`repro.harness.parallel.ShardPlan`), dispatches shard chunks to
@@ -32,8 +32,6 @@ docs/DISTRIBUTED.md.
 
 from __future__ import annotations
 
-import asyncio
-import http.client
 import json
 import threading
 import time
@@ -44,17 +42,17 @@ from typing import Any, Optional, Sequence, Union
 
 from repro.api import (
     BATCH_SCHEMA,
+    OUTCOME_SCHEMA,
     AnyRequest,
     MultiTenantRequest,
-    decode_request_batch,
+    _decode_cached_result,
     encode_request_batch,
-    result_digest,
 )
 from repro.gpu.gpu import SimulationResult
 from repro.harness.breaker import CircuitBreaker
 from repro.harness.cache import ResultCache
-from repro.harness.integrity import audit_selected
-from repro.harness.ledger import append_entry, merge_ledger_entries, record_sweep, sweep_entry
+from repro.harness.integrity import audit_selected, canonical_json, result_digest
+from repro.harness.ledger import append_entry, merge_ledger_entries, record_sweep
 from repro.harness.manifest import ManifestEntry, append_outcome, scan_manifest
 from repro.harness.parallel import (
     AUTO_CACHE,
@@ -65,20 +63,12 @@ from repro.harness.parallel import (
     SweepError,
     SweepOutcome,
     SweepStats,
-    _decode_cached,
     _execute,
     _resolved_backends,
     parse_positive_int,
-    run_jobs,
 )
-from repro.serve.http import canonical_json, read_http_request, respond
+from repro.serve.http import http_request
 from repro.version import __version__
-
-#: Default TCP port of ``repro worker`` (``repro serve`` owns 8651).
-DEFAULT_WORKER_PORT = 8652
-
-#: Version of the worker's ``POST /batch`` response envelope.
-OUTCOME_SCHEMA = 1
 
 #: Jobs per dispatch chunk: the unit one HTTP round trip carries and the
 #: most a lost worker forfeits.  Small enough that re-dispatch is cheap,
@@ -163,286 +153,25 @@ def load_worker_roster(path: Union[str, Path]) -> tuple[WorkerRef, ...]:
 
 
 # ---------------------------------------------------------------------------
-# The worker process (``repro worker``)
-# ---------------------------------------------------------------------------
-class WorkerServer:
-    """A long-lived sweep worker: ``POST /batch`` in, outcome rows out.
-
-    Reuses the serve layer's HTTP plumbing verbatim; execution goes through
-    :func:`run_jobs`, so the PR 8 resilience stack (per-job retry with
-    seeded backoff, timeouts and straggler duplication on the pool path,
-    seeded chaos via ``REPRO_CHAOS``) applies on the worker exactly as it
-    does locally.  Batches execute one at a time — the worker's own
-    ``--workers`` pool is the intra-batch parallelism.
-    """
-
-    def __init__(
-        self,
-        *,
-        host: str = "127.0.0.1",
-        port: int = DEFAULT_WORKER_PORT,
-        workers: int = 1,
-        backend: Optional[str] = None,
-        cache: Union[ResultCache, str, None] = AUTO_CACHE,
-    ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.host = host
-        self.port = port
-        self.workers = workers
-        self.backend = backend
-        self.cache = cache
-        self.batches = 0
-        self.jobs_done = 0
-        self.jobs_failed = 0
-        self._busy = False
-        self._draining = False
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._closed: Optional[asyncio.Event] = None
-        self._batch_lock: Optional[asyncio.Lock] = None
-
-    # -- lifecycle -----------------------------------------------------
-    async def start(self) -> None:
-        self._closed = asyncio.Event()
-        self._batch_lock = asyncio.Lock()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
-        sockets = self._server.sockets or ()
-        if sockets:
-            self.port = sockets[0].getsockname()[1]
-
-    @property
-    def address(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def begin_shutdown(self) -> None:
-        if self._draining:
-            return
-        self._draining = True
-        asyncio.get_running_loop().create_task(self._stop())
-
-    async def _stop(self) -> None:
-        # Let an in-flight batch finish: the lock serialises against it.
-        assert self._batch_lock is not None
-        async with self._batch_lock:
-            pass
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        assert self._closed is not None
-        self._closed.set()
-
-    async def wait_closed(self) -> None:
-        assert self._closed is not None, "start() was not called"
-        await self._closed.wait()
-
-    # -- HTTP ----------------------------------------------------------
-    async def _handle_connection(self, reader, writer) -> None:
-        try:
-            try:
-                request = await read_http_request(reader)
-            except (ValueError, asyncio.IncompleteReadError) as exc:
-                await respond(writer, 400, {"error": f"bad request: {exc}"})
-                return
-            if request is None:
-                return
-            await self._route(request, writer)
-        except (ConnectionError, asyncio.CancelledError):
-            pass  # coordinator went away mid-response
-        except Exception as exc:  # never let a handler bug kill the loop
-            try:
-                await respond(writer, 500, {"error": f"internal error: {exc}"})
-            except Exception:
-                pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except Exception:
-                pass
-
-    async def _route(self, request, writer) -> None:
-        method, path = request.method, request.path.rstrip("/") or "/"
-        if path == "/healthz":
-            if method != "GET":
-                await respond(writer, 405, {"error": "use GET"})
-                return
-            await respond(writer, 200, {
-                "status": "draining" if self._draining else "ok",
-                "kind": "worker",
-                "busy": self._busy,
-                "workers": self.workers,
-                "version": __version__,
-                # Schema advertisement: the coordinator refuses to dispatch
-                # to a worker speaking a different batch schema (a clear
-                # error instead of a decode traceback mid-sweep).
-                "batch_schema": BATCH_SCHEMA,
-                "outcome_schema": OUTCOME_SCHEMA,
-            })
-        elif path == "/batch":
-            if method != "POST":
-                await respond(writer, 405, {"error": "use POST"})
-                return
-            await self._handle_batch(request, writer)
-        elif path == "/shutdown":
-            if method != "POST":
-                await respond(writer, 405, {"error": "use POST"})
-                return
-            await respond(writer, 200, {"status": "stopping"})
-            self.begin_shutdown()
-        else:
-            await respond(writer, 404, {"error": f"unknown path {path!r}"})
-
-    async def _handle_batch(self, http_request, writer) -> None:
-        if self._draining:
-            await respond(writer, 503, {"error": "worker is draining"})
-            return
-        try:
-            payload = json.loads(http_request.body.decode("utf-8"))
-            jobs = decode_request_batch(payload)
-            options = payload.get("options") or {}
-            on_error = options.get("on_error", "skip")
-            if on_error not in ("skip", "retry"):
-                raise ValueError(
-                    f"worker on_error must be 'skip' or 'retry', got {on_error!r}"
-                )
-            retry_payload = options.get("retry")
-            retry = (
-                RetryPolicy.from_dict(retry_payload)
-                if retry_payload is not None
-                else None
-            )
-        except (ValueError, UnicodeDecodeError) as exc:
-            await respond(writer, 400, {"error": f"bad batch payload: {exc}"})
-            return
-        assert self._batch_lock is not None
-        async with self._batch_lock:
-            self._busy = True
-            try:
-                loop = asyncio.get_running_loop()
-                outcome = await loop.run_in_executor(
-                    None,
-                    lambda: run_jobs(
-                        jobs,
-                        workers=self.workers,
-                        cache=self.cache,
-                        backend=self.backend,
-                        on_error=on_error,
-                        retry=retry,
-                    ),
-                )
-            except Exception as exc:
-                await respond(writer, 500, {
-                    "error": f"{type(exc).__name__}: {exc}",
-                })
-                return
-            finally:
-                self._busy = False
-        rows = []
-        keys: list[str] = []
-        for job, result in outcome:
-            if isinstance(result, JobFailure):
-                self.jobs_failed += 1
-                rows.append({
-                    "status": "timeout" if result.timed_out else "failed",
-                    "result": None,
-                    "error": result.error,
-                    "error_type": result.error_type,
-                    "attempts": result.attempts,
-                    "timed_out": result.timed_out,
-                })
-            else:
-                self.jobs_done += 1
-                wire = result.to_dict()
-                rows.append({
-                    "status": "done",
-                    "result": wire,
-                    # Content digest of the result payload: the coordinator
-                    # verifies it on receipt, so corruption in transit (or a
-                    # worker serialisation bug) is detected, not merged.
-                    "digest": result_digest(wire),
-                    "error": None,
-                    "error_type": None,
-                    "attempts": 1,
-                    "timed_out": False,
-                })
-            try:
-                keys.append(job.cache_key())
-            except Exception:
-                pass
-        self.batches += 1
-        stats = outcome.stats
-        await respond(writer, 200, canonical_json({
-            "schema": OUTCOME_SCHEMA,
-            "kind": "BatchOutcome",
-            "outcomes": rows,
-            "stats": {
-                "jobs": stats.jobs,
-                "cache_hits": stats.cache_hits,
-                "executed": stats.executed,
-                "workers": stats.workers,
-                "backend": stats.backend,
-                "failed": stats.failed,
-                "retried": stats.retried,
-                "timed_out": stats.timed_out,
-                "wall_seconds": stats.wall_seconds,
-            },
-            "ledger_row": sweep_entry(stats, keys=keys or None),
-        }))
-
-
-async def run_worker(server: WorkerServer, *, announce=None) -> None:
-    """Start ``server``, announce the bound address, serve until stopped.
-
-    SIGINT/SIGTERM trigger the same graceful stop as ``POST /shutdown``
-    (an in-flight batch finishes first).
-    """
-    import signal
-
-    await server.start()
-    loop = asyncio.get_running_loop()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            loop.add_signal_handler(signum, server.begin_shutdown)
-        except (NotImplementedError, RuntimeError, ValueError):
-            pass  # non-main thread or unsupported platform
-    # Announce last: the line is the readiness contract scripts wait on,
-    # so signals must already drain gracefully by the time it prints.
-    if announce is not None:
-        announce(f"repro worker listening on {server.address}")
-    await server.wait_closed()
-
-
-# ---------------------------------------------------------------------------
 # The coordinator side
 # ---------------------------------------------------------------------------
 class WorkerClient:
-    """Blocking HTTP client for one worker endpoint (stdlib only)."""
+    """The coordinator's typed client for one worker endpoint."""
 
     def __init__(self, ref: WorkerRef, *, timeout: float = DEFAULT_REQUEST_TIMEOUT) -> None:
         self.ref = ref
         self.timeout = timeout
 
     def _request(self, method: str, path: str, body: Optional[bytes] = None) -> dict:
-        conn = http.client.HTTPConnection(
-            self.ref.host, self.ref.port, timeout=self.timeout
+        response = http_request(
+            self.ref.host, self.ref.port, method, path, body, timeout=self.timeout
         )
-        try:
-            conn.request(
-                method, path, body=body,
-                headers={"Content-Type": "application/json"} if body else {},
+        if response.status != 200:
+            raise WorkerError(
+                f"worker {self.ref.address} answered {response.status}: "
+                f"{response.body[:200].decode(errors='replace')}"
             )
-            response = conn.getresponse()
-            data = response.read()
-            if response.status != 200:
-                raise WorkerError(
-                    f"worker {self.ref.address} answered {response.status}: "
-                    f"{data[:200].decode(errors='replace')}"
-                )
-            return json.loads(data)
-        finally:
-            conn.close()
+        return json.loads(response.body)
 
     def healthz(self) -> dict:
         return self._request("GET", "/healthz")
@@ -470,9 +199,6 @@ class WorkerClient:
                 f"worker {self.ref.address} returned a malformed batch outcome"
             )
         return answer
-
-    def shutdown(self) -> None:
-        self._request("POST", "/shutdown", b"")
 
 
 class WorkerError(RuntimeError):
@@ -647,7 +373,7 @@ def run_distributed(
             continue
         sweep_keys.append(key)
         if cache is not None:
-            hit = _decode_cached(cache.get(key))
+            hit = _decode_cached_result(cache.get(key))
             if hit is not None:
                 results[index] = hit
                 stats.cache_hits += 1
@@ -942,9 +668,7 @@ def run_distributed(
                     # breaker — so a restarted worker rejoins here.
                     try:
                         health = client.healthz()
-                    except (
-                        OSError, http.client.HTTPException, WorkerError, ValueError,
-                    ) as exc:
+                    except (OSError, WorkerError, ValueError) as exc:
                         contact_failed(exc, None)
                         continue
                     problem = _worker_schema_drift(health)
@@ -975,9 +699,7 @@ def run_distributed(
                         on_error=worker_on_error,
                         retry=retry,
                     )
-                except (
-                    OSError, http.client.HTTPException, WorkerError, ValueError,
-                ) as exc:
+                except (OSError, WorkerError, ValueError) as exc:
                     validated = False  # must re-pass healthz before rejoining
                     contact_failed(exc, chunk)
                     continue

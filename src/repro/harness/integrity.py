@@ -6,12 +6,14 @@ every byte a remote worker returns used to be trusted blindly.  This
 module is the shared vocabulary the integrity layer (docs/RESILIENCE.md)
 is built from:
 
+* :func:`canonical_json` — the one byte-stable JSON encoding (cache keys,
+  response bodies, digests).
 * :func:`result_digest` — the blake2b content digest of a result's
   canonical JSON wire form.  Stamped into cache envelopes
-  (:mod:`repro.harness.cache`), onto worker ``/batch`` outcome rows
-  (:mod:`repro.harness.distributed`) and into the serve layer's
-  ``X-Repro-Digest`` response header, so the same result hashes the same
-  everywhere it travels.
+  (:mod:`repro.harness.cache`) and onto ``/batch`` outcome rows
+  (:mod:`repro.serve.server`); serve's ``X-Repro-Digest`` header is
+  :func:`blob_digest` of the same canonical bytes, so the same result
+  hashes the same everywhere it travels.
 * :func:`quarantine_file` / :func:`quarantine_bytes` — damaged artifacts
   are *moved aside with a reason*, never silently unlinked: corruption is
   evidence (bad disk, torn write, misbehaving worker) and destroying it
@@ -56,25 +58,40 @@ _TRUTHY = ("1", "on", "true", "yes")
 # ---------------------------------------------------------------------------
 # Content digests
 # ---------------------------------------------------------------------------
+def canonical_json(payload: Any, *, default=None) -> bytes:
+    """The one canonical JSON rendering: sorted keys, compact separators.
+
+    Cache keys, serve and worker response bodies and result digests all
+    encode through here, so the same value is the same bytes everywhere.
+    ``default`` is :func:`json.dumps`'s fallback for non-JSON leaves
+    (``None`` raises ``TypeError`` on them).
+    """
+    return json.dumps(
+        payload, sort_keys=True, separators=(",", ":"), default=default
+    ).encode()
+
+
+def blob_digest(blob: bytes) -> str:
+    """Blake2b content digest of already-encoded canonical bytes."""
+    return hashlib.blake2b(blob, digest_size=DIGEST_SIZE).hexdigest()
+
+
 def result_digest(payload: Any) -> str:
     """Blake2b content digest of a result payload's canonical JSON form.
 
     ``payload`` is normally a ``SimulationResult.to_dict()`` wire form, but
-    any JSON-ish value digests deterministically (sorted keys, compact
-    separators, ``repr`` fallback for exotic leaves).  Floats use the JSON
-    ``repr`` round-trip, so bit-identical results — the repository's
-    exactness contract — produce identical digests and any bit flip
-    produces a different one.
+    any JSON-ish value digests deterministically (``repr`` fallback for
+    exotic leaves).  Floats use the JSON ``repr`` round-trip, so
+    bit-identical results — the repository's exactness contract — produce
+    identical digests and any bit flip produces a different one.
     """
     try:
-        blob = json.dumps(
-            payload, sort_keys=True, separators=(",", ":"), default=repr
-        )
+        blob = canonical_json(payload, default=repr)
     except (TypeError, ValueError):
         # Unsortable mixed-type keys and friends: repr() is still a
         # deterministic rendering of the same in-memory value.
-        blob = repr(payload)
-    return hashlib.blake2b(blob.encode(), digest_size=DIGEST_SIZE).hexdigest()
+        blob = repr(payload).encode()
+    return blob_digest(blob)
 
 
 # ---------------------------------------------------------------------------

@@ -54,15 +54,20 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
-from repro.api import AnyRequest, MultiTenantRequest, SimulationRequest
+from repro.api import (
+    AnyRequest,
+    MultiTenantRequest,
+    SimulationRequest,
+    _decode_cached_result,
+    execute,
+)
 from repro.gpu.gpu import SimulationResult
 from repro.harness.cache import ResultCache
 from repro.harness.faults import _unit_draw, set_current_attempt
 from repro.harness.ledger import record_sweep
 from repro.harness.manifest import ManifestEntry, append_outcome, scan_manifest
-from repro.harness.runner import run_benchmark
 
 #: Compatibility alias: the engine's job type *is* the canonical request.
 SweepJob = SimulationRequest
@@ -411,23 +416,7 @@ def _execute(job: AnyRequest, attempt: int = 1) -> SimulationResult:
     schedule advances with retries instead of replaying the same fault.
     """
     set_current_attempt(attempt)
-    if isinstance(job, MultiTenantRequest):
-        from repro.api import execute
-
-        return execute(job)
-    return run_benchmark(job.benchmark, job.scheduler, job.run_config,
-                         backend=job.backend)
-
-
-def _decode_cached(payload: Any) -> Optional[SimulationResult]:
-    """Reconstruct a cached result; ``None`` (treated as a miss) on drift.
-
-    Delegates to the one shared decoder so ``run_jobs`` and ``run_batch``
-    can never disagree on what counts as a cache hit.
-    """
-    from repro.api import _decode_cached_result
-
-    return _decode_cached_result(payload)
+    return execute(job)
 
 
 def _resolved_backends(jobs: Sequence[AnyRequest]) -> str:
@@ -947,7 +936,7 @@ def run_jobs(
                 )
                 continue
         if cache is not None:
-            hit = _decode_cached(cache.get(key))
+            hit = _decode_cached_result(cache.get(key))
             if hit is not None:
                 results[index] = hit
                 stats.cache_hits += 1

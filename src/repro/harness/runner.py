@@ -31,15 +31,9 @@ from repro.api import (  # noqa: F401  (RunConfig re-exported for compatibility)
     RunConfig,
     SimulationRequest,
     execute,
-    scheduler_kwargs_for,
 )
 from repro.gpu.gpu import SimulationResult
 from repro.workloads.spec import BenchmarkSpec
-
-
-def _scheduler_kwargs(scheduler: str, spec: BenchmarkSpec, run_config: RunConfig) -> dict:
-    """Deprecated alias of :func:`repro.api.scheduler_kwargs_for`."""
-    return scheduler_kwargs_for(scheduler, spec, run_config)
 
 
 def run_benchmark(

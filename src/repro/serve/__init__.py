@@ -7,19 +7,21 @@ request coalescing, batched dispatch, live stats endpoints and the shared
 resilience policy (per-batch timeouts, bounded retry with backoff,
 queue-depth load shedding — see docs/RESILIENCE.md).  See docs/SERVING.md
 and :mod:`repro.serve.server` for the full picture; the CLI front ends are
-``repro serve`` and ``repro submit``.
+``repro serve``, ``repro worker`` (the same service with sweep-worker
+defaults; see docs/DISTRIBUTED.md) and ``repro submit``.
 """
 
+from repro.api import decode_request
 from repro.serve.coalesce import Coalescer
+from repro.serve.http import canonical_json
 from repro.serve.queue import BatchQueue, BatchTimeoutError, QueuedJob
 from repro.serve.server import (
     DEFAULT_PORT,
+    DEFAULT_WORKER_PORT,
     RejectedRequest,
     ReproService,
     ServiceDraining,
     ServiceOverloaded,
-    canonical_json,
-    decode_request_payload,
     run_service,
 )
 from repro.serve.stats import BackendThroughput, ServiceStats
@@ -30,6 +32,7 @@ __all__ = [
     "BatchTimeoutError",
     "Coalescer",
     "DEFAULT_PORT",
+    "DEFAULT_WORKER_PORT",
     "QueuedJob",
     "RejectedRequest",
     "ReproService",
@@ -37,6 +40,6 @@ __all__ = [
     "ServiceOverloaded",
     "ServiceStats",
     "canonical_json",
-    "decode_request_payload",
+    "decode_request",
     "run_service",
 ]

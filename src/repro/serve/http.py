@@ -1,19 +1,20 @@
-"""Minimal stdlib HTTP/1.1 plumbing shared by ``repro serve`` and ``repro
-worker``.
+"""Minimal stdlib HTTP/1.1 plumbing of the one repro service.
 
-Extracted from :mod:`repro.serve.server` so the distributed sweep layer
-(:mod:`repro.harness.distributed`) can reuse the exact same parser and
-response writer without dragging in the serving stack (coalescer, batch
-queue, stats).  The contract is deliberately tiny: one request per
-connection, ``Content-Length`` bodies only, canonical JSON responses.
+The server side (:func:`read_http_request`, :func:`respond`) is what
+:class:`repro.serve.server.ReproService` speaks; the client side
+(:func:`http_request`) is what ``repro submit`` and the sweep coordinator's
+:class:`repro.harness.distributed.WorkerClient` speak to it.  The contract
+is deliberately tiny: one request per connection, ``Content-Length``
+bodies only, canonical JSON responses.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional
+from typing import Mapping, Optional
+
+from repro.harness.integrity import canonical_json
 
 #: Upper bound on accepted request bodies (a wire-form request is a few KB;
 #: a full request *batch* a few hundred).
@@ -29,11 +30,6 @@ REASONS = {
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
-
-
-def canonical_json(payload: Any) -> bytes:
-    """The one JSON rendering every response path shares (byte-stable)."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
 
 
 @dataclass
@@ -92,3 +88,47 @@ async def respond(writer, status: int, payload, *, extra_headers=()) -> None:
     head += "\r\n"
     writer.write(head.encode("latin-1") + body)
     await writer.drain()
+
+
+@dataclass
+class HttpResponse:
+    """One response as the client saw it."""
+
+    status: int
+    headers: Mapping[str, str]
+    body: bytes
+
+
+def http_request(
+    host: str,
+    port: int,
+    method: str,
+    path: str,
+    body: Optional[bytes] = None,
+    *,
+    timeout: float,
+) -> HttpResponse:
+    """Send one request and read the whole response (blocking).
+
+    Transport failures raise ``OSError`` (``TimeoutError`` for a server
+    that accepted but never answered); a garbled response raises
+    ``ConnectionError``, so callers handle one exception family.
+    """
+    import http.client
+
+    conn = http.client.HTTPConnection(host, port, timeout=timeout)
+    try:
+        conn.request(
+            method, path, body=body,
+            headers={"Content-Type": "application/json"} if body else {},
+        )
+        response = conn.getresponse()
+        return HttpResponse(
+            response.status,
+            {name.lower(): value for name, value in response.getheaders()},
+            response.read(),
+        )
+    except http.client.HTTPException as exc:
+        raise ConnectionError(f"malformed HTTP response: {exc!r}") from exc
+    finally:
+        conn.close()

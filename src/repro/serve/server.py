@@ -16,13 +16,21 @@ service.  One :class:`ReproService` wires the existing pieces together:
 * remaining misses queue into the batching dispatcher
   (:class:`repro.serve.queue.BatchQueue`), which drains into
   :func:`repro.api.run_batch` on a worker pool;
-* ``GET /healthz`` / ``GET /stats`` / ``GET /jobs[/<id>]`` expose liveness,
-  live counters (queue depth, hit/coalesce/miss split, per-backend
-  throughput plus the bench-ledger summary) and job lifecycle records
-  (:class:`repro.api.JobRecord`);
+* ``POST /batch`` runs a :func:`repro.api.encode_request_batch` payload
+  through :func:`repro.harness.parallel.run_jobs` (one batch at a time,
+  ``workers`` wide) and answers one outcome row per job plus the batch's
+  sweep statistics and ledger row — the route a sweep coordinator
+  (:mod:`repro.harness.distributed`) dispatches to, so every service is
+  usable as a worker.  ``repro worker`` is this same service with worker
+  defaults;
+* ``GET /healthz`` / ``GET /stats`` / ``GET /jobs[/<id>]`` expose liveness
+  and wire schemas, live counters (queue depth, hit/coalesce/miss split,
+  per-backend throughput plus the bench-ledger summary) and job lifecycle
+  records (:class:`repro.api.JobRecord`);
 * ``POST /shutdown`` (or SIGTERM/SIGINT under :func:`run_service`) drains
-  gracefully: intake stops, queued work finishes, a ``"kind": "serve"``
-  row lands in the bench ledger, then the listener closes.
+  gracefully: intake stops, queued work and an in-flight batch finish, a
+  ``"kind": "serve"`` row lands in the bench ledger if the session served
+  ``/simulate``, then the listener closes.
 
 Response bodies for ``/simulate`` are the *canonical JSON rendering of the
 result wire form* (sorted keys, compact separators) whichever path produced
@@ -42,25 +50,21 @@ from dataclasses import replace
 from typing import Optional
 
 from repro.api import (
+    BATCH_SCHEMA,
+    OUTCOME_SCHEMA,
     AnyRequest,
     JobRecord,
     JobState,
     SimulationRequest,
     _decode_cached_result,
     decode_request,
-    result_digest,
+    decode_request_batch,
 )
-from repro.harness.ledger import append_entry, read_ledger, summarize_ledger
-from repro.harness.parallel import RetryPolicy
+from repro.harness.integrity import blob_digest, canonical_json, result_digest
+from repro.harness.ledger import append_entry, read_ledger, summarize_ledger, sweep_entry
+from repro.harness.parallel import JobFailure, RetryPolicy, run_jobs
 from repro.serve.coalesce import Coalescer
-from repro.serve.http import (
-    MAX_BODY_BYTES,
-    REASONS as _REASONS,
-    HttpRequest,
-    canonical_json,
-    read_http_request,
-    respond,
-)
+from repro.serve.http import HttpRequest, read_http_request, respond
 from repro.serve.queue import BatchQueue, BatchTimeoutError, QueuedJob
 from repro.serve.stats import ServiceStats
 from repro.version import __version__
@@ -68,15 +72,8 @@ from repro.version import __version__
 #: Default TCP port of ``repro serve`` (and ``repro submit``'s default URL).
 DEFAULT_PORT = 8651
 
-#: Historic aliases — the HTTP plumbing moved to :mod:`repro.serve.http`
-#: (shared with ``repro worker``); these names remain importable.
-_read_http_request = read_http_request
-_respond = respond
-
-#: The request-payload dispatcher now lives beside the wire forms
-#: themselves (:func:`repro.api.decode_request`); this alias keeps the
-#: serving layer's public name.
-decode_request_payload = decode_request
+#: Default TCP port of ``repro worker`` (the same service, worker defaults).
+DEFAULT_WORKER_PORT = 8652
 
 
 class RejectedRequest(ValueError):
@@ -104,7 +101,13 @@ class ServiceOverloaded(RuntimeError):
 
 
 class ReproService:
-    """The serving layer: cache -> coalesce -> batch -> respond."""
+    """The one repro service: ``/simulate`` (cache -> coalesce -> batch ->
+    respond) and ``/batch`` (a coordinator's job list through ``run_jobs``).
+
+    ``workers`` bounds concurrent simulations on both routes: the
+    dispatcher's thread count for ``/simulate`` and the ``run_jobs`` width
+    for ``/batch``.
+    """
 
     def __init__(
         self,
@@ -125,6 +128,7 @@ class ReproService:
         self.host = host
         self.port = port
         self.cache = cache
+        self.workers = workers
         #: Fills in the engine for requests that left theirs ``None``
         #: (multi-tenant requests keep their ``lockstep`` default).
         self.backend = backend
@@ -149,9 +153,14 @@ class ReproService:
         self.jobs: "OrderedDict[str, JobRecord]" = OrderedDict()
         self._max_job_records = max_job_records
         self._job_counter = 0
+        #: ``POST /batch`` books: batches answered and their outcome rows.
+        self.batch_requests = 0
+        self.batch_jobs_done = 0
+        self.batch_jobs_failed = 0
         self._draining = False
         self._server: Optional[asyncio.base_events.Server] = None
         self._closed: Optional[asyncio.Event] = None
+        self._batch_lock: Optional[asyncio.Lock] = None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -159,6 +168,7 @@ class ReproService:
     async def start(self) -> None:
         """Bind the listener and start the dispatcher (call on the loop)."""
         self._closed = asyncio.Event()
+        self._batch_lock = asyncio.Lock()
         self.queue.start()
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
@@ -190,10 +200,16 @@ class ReproService:
             # Worker tasks that died during shutdown used to vanish into
             # gather(..., return_exceptions=True); account them instead.
             self.stats.record_drain_error(summary["drain_errors"])
-        try:
-            append_entry(self.stats.ledger_entry())
-        except Exception:
-            pass  # the ledger is best-effort; never block a shutdown on it
+        assert self._batch_lock is not None
+        async with self._batch_lock:
+            pass  # an in-flight /batch finishes first
+        if self.stats.requests or self.stats.rejected:
+            # Only a session that served /simulate has a serve row; a
+            # /batch-only (worker) session's rows are the sweeps it ran.
+            try:
+                append_entry(self.stats.ledger_entry())
+            except Exception:
+                pass  # the ledger is best-effort; never block a shutdown on it
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -334,6 +350,22 @@ class ReproService:
                 "executed result",
             )
 
+    def health_payload(self) -> dict:
+        """The ``/healthz`` document, the same for every service.
+
+        ``kind`` and the schemas are what a sweep coordinator checks before
+        dispatching ``/batch`` work here (a clear refusal instead of a
+        decode traceback mid-sweep when versions drift).
+        """
+        return {
+            "status": "draining" if self._draining else "ok",
+            "version": __version__,
+            "kind": "worker",
+            "batch_schema": BATCH_SCHEMA,
+            "outcome_schema": OUTCOME_SCHEMA,
+            "workers": self.workers,
+        }
+
     def stats_payload(self) -> dict:
         """The ``/stats`` document: live counters + bench-ledger summary."""
         payload = self.stats.snapshot(
@@ -358,9 +390,9 @@ class ReproService:
     async def _handle_connection(self, reader, writer) -> None:
         try:
             try:
-                request = await _read_http_request(reader)
+                request = await read_http_request(reader)
             except (ValueError, asyncio.IncompleteReadError) as exc:
-                await _respond(writer, 400, {"error": f"bad request: {exc}"})
+                await respond(writer, 400, {"error": f"bad request: {exc}"})
                 return
             if request is None:
                 return
@@ -369,7 +401,7 @@ class ReproService:
             pass  # client went away mid-response; nothing to answer
         except Exception as exc:  # never let a handler bug kill the loop
             try:
-                await _respond(writer, 500, {"error": f"internal error: {exc}"})
+                await respond(writer, 500, {"error": f"internal error: {exc}"})
             except Exception:
                 pass
         finally:
@@ -380,70 +412,61 @@ class ReproService:
                 pass
 
     async def _route(self, request: HttpRequest, writer) -> None:
-        method, path = request.method, request.path.rstrip("/") or "/"
-        if path == "/healthz":
-            if method != "GET":
-                await _respond(writer, 405, {"error": "use GET"})
-                return
-            await _respond(
-                writer,
-                200,
-                {
-                    "status": "draining" if self._draining else "ok",
-                    "version": __version__,
-                },
-            )
-        elif path == "/stats":
-            if method != "GET":
-                await _respond(writer, 405, {"error": "use GET"})
-                return
-            await _respond(writer, 200, self.stats_payload())
-        elif path == "/jobs":
-            if method != "GET":
-                await _respond(writer, 405, {"error": "use GET"})
-                return
+        path = request.path.rstrip("/") or "/"
+        routes = {
+            "/healthz": ("GET", self._handle_healthz),
+            "/stats": ("GET", self._handle_stats),
+            "/jobs": ("GET", self._handle_jobs),
+            "/simulate": ("POST", self._handle_simulate),
+            "/batch": ("POST", self._handle_batch),
+            "/shutdown": ("POST", self._handle_shutdown),
+        }
+        route = routes.get("/jobs" if path.startswith("/jobs/") else path)
+        if route is None:
+            await respond(writer, 404, {"error": f"unknown path {path!r}"})
+        elif request.method != route[0]:
+            await respond(writer, 405, {"error": f"use {route[0]}"})
+        else:
+            await route[1](path, request, writer)
+
+    async def _handle_healthz(self, path: str, http: HttpRequest, writer) -> None:
+        await respond(writer, 200, self.health_payload())
+
+    async def _handle_stats(self, path: str, http: HttpRequest, writer) -> None:
+        await respond(writer, 200, self.stats_payload())
+
+    async def _handle_jobs(self, path: str, http: HttpRequest, writer) -> None:
+        if path == "/jobs":
             records = list(self.jobs.values())[-50:]
-            await _respond(
+            await respond(
                 writer, 200, {"jobs": [r.to_dict() for r in reversed(records)]}
             )
-        elif path.startswith("/jobs/"):
-            if method != "GET":
-                await _respond(writer, 405, {"error": "use GET"})
-                return
-            record = self.jobs.get(path[len("/jobs/"):])
-            if record is None:
-                await _respond(writer, 404, {"error": "unknown job"})
-                return
-            await _respond(writer, 200, record.to_dict())
-        elif path == "/simulate":
-            if method != "POST":
-                await _respond(writer, 405, {"error": "use POST"})
-                return
-            await self._handle_simulate(request, writer)
-        elif path == "/shutdown":
-            if method != "POST":
-                await _respond(writer, 405, {"error": "use POST"})
-                return
-            await _respond(writer, 200, {"status": "draining"})
-            self.begin_shutdown()
-        else:
-            await _respond(writer, 404, {"error": f"unknown path {path!r}"})
+            return
+        record = self.jobs.get(path[len("/jobs/"):])
+        if record is None:
+            await respond(writer, 404, {"error": "unknown job"})
+            return
+        await respond(writer, 200, record.to_dict())
 
-    async def _handle_simulate(self, http: HttpRequest, writer) -> None:
+    async def _handle_shutdown(self, path: str, http: HttpRequest, writer) -> None:
+        await respond(writer, 200, {"status": "draining"})
+        self.begin_shutdown()
+
+    async def _handle_simulate(self, path: str, http: HttpRequest, writer) -> None:
         try:
             payload = json.loads(http.body.decode("utf-8"))
-            request = decode_request_payload(payload)
+            request = decode_request(payload)
         except (ValueError, UnicodeDecodeError) as exc:
             self.stats.record_rejected()
-            await _respond(writer, 400, {"error": f"bad payload: {exc}"})
+            await respond(writer, 400, {"error": f"bad payload: {exc}"})
             return
         try:
             result, source, record = await self.submit(request)
         except ServiceDraining as exc:
-            await _respond(writer, 503, {"error": str(exc)})
+            await respond(writer, 503, {"error": str(exc)})
             return
         except ServiceOverloaded as exc:
-            await _respond(
+            await respond(
                 writer,
                 503,
                 {"error": str(exc), "retry_after": exc.retry_after},
@@ -451,18 +474,17 @@ class ReproService:
             )
             return
         except RejectedRequest as exc:
-            await _respond(writer, 400, {"error": str(exc)})
+            await respond(writer, 400, {"error": str(exc)})
             return
         except Exception as exc:
-            await _respond(writer, 500, {"error": str(exc)})
+            await respond(writer, 500, {"error": str(exc)})
             return
         # The body is the canonical rendering of the result wire form —
         # byte-identical across the cache / coalesced / executed paths and
         # to a direct execute(request).to_dict().  Job metadata rides in
         # headers so it can never perturb response bytes.
-        wire = result.to_dict()
-        body = canonical_json(wire)
-        await _respond(
+        body = canonical_json(result.to_dict())
+        await respond(
             writer,
             200,
             body,
@@ -470,29 +492,126 @@ class ReproService:
                 ("X-Repro-Source", source),
                 ("X-Repro-Job", record.job_id),
                 ("X-Repro-Cache-Key", record.cache_key),
-                # Content digest of the wire form: clients can verify the
-                # body survived the transport (same blake2b the cache and
-                # the distributed workers use).
-                ("X-Repro-Digest", result_digest(wire)),
+                # Content digest of the body bytes: clients can verify it
+                # survived the transport (equal to result_digest of the
+                # wire form, the digest the cache and /batch rows carry).
+                ("X-Repro-Digest", blob_digest(body)),
             ),
         )
 
+    async def _handle_batch(self, path: str, http: HttpRequest, writer) -> None:
+        if self._draining:
+            await respond(writer, 503, {"error": "service is draining"})
+            return
+        try:
+            payload = json.loads(http.body.decode("utf-8"))
+            jobs = decode_request_batch(payload)
+            options = payload.get("options") or {}
+            on_error = options.get("on_error", "skip")
+            if on_error not in ("skip", "retry"):
+                raise ValueError(
+                    f"batch on_error must be 'skip' or 'retry', got {on_error!r}"
+                )
+            retry = options.get("retry")
+            retry = RetryPolicy.from_dict(retry) if retry is not None else None
+        except (ValueError, UnicodeDecodeError) as exc:
+            await respond(writer, 400, {"error": f"bad batch payload: {exc}"})
+            return
+        # One batch at a time: ``workers`` is the intra-batch parallelism.
+        # Execution goes through run_jobs, so the sweep engine's retry /
+        # timeout / chaos stack applies here exactly as it does locally.
+        assert self._batch_lock is not None
+        async with self._batch_lock:
+            try:
+                outcome = await asyncio.get_running_loop().run_in_executor(
+                    None,
+                    lambda: run_jobs(
+                        jobs,
+                        workers=self.workers,
+                        cache=self.cache,
+                        backend=self.backend,
+                        on_error=on_error,
+                        retry=retry,
+                    ),
+                )
+            except Exception as exc:
+                await respond(writer, 500, {"error": f"{type(exc).__name__}: {exc}"})
+                return
+        await respond(writer, 200, self._batch_outcome(outcome))
+
+    def _batch_outcome(self, outcome) -> dict:
+        """The ``BatchOutcome`` envelope: one row per job, stats, ledger row."""
+        rows = []
+        keys: list[str] = []
+        for job, result in outcome:
+            if isinstance(result, JobFailure):
+                self.batch_jobs_failed += 1
+                rows.append({
+                    "status": "timeout" if result.timed_out else "failed",
+                    "result": None,
+                    "error": result.error,
+                    "error_type": result.error_type,
+                    "attempts": result.attempts,
+                    "timed_out": result.timed_out,
+                })
+            else:
+                self.batch_jobs_done += 1
+                wire = result.to_dict()
+                rows.append({
+                    "status": "done",
+                    "result": wire,
+                    # Content digest of the result payload: the coordinator
+                    # verifies it on receipt, so corruption in transit (or a
+                    # serialisation bug) is detected, not merged.
+                    "digest": result_digest(wire),
+                    "error": None,
+                    "error_type": None,
+                    "attempts": 1,
+                    "timed_out": False,
+                })
+            try:
+                keys.append(job.cache_key())
+            except Exception:
+                pass
+        self.batch_requests += 1
+        stats = outcome.stats
+        return {
+            "schema": OUTCOME_SCHEMA,
+            "kind": "BatchOutcome",
+            "outcomes": rows,
+            "stats": {
+                "jobs": stats.jobs,
+                "cache_hits": stats.cache_hits,
+                "executed": stats.executed,
+                "workers": stats.workers,
+                "backend": stats.backend,
+                "failed": stats.failed,
+                "retried": stats.retried,
+                "timed_out": stats.timed_out,
+                "wall_seconds": stats.wall_seconds,
+            },
+            "ledger_row": sweep_entry(stats, keys=keys or None),
+        }
+
 
 async def run_service(service: ReproService, *, announce=None) -> None:
-    """Start ``service``, announce the bound address, serve until drained.
+    """Start ``service``, announce its bound address, serve until drained.
 
     SIGINT/SIGTERM trigger the same graceful drain as ``POST /shutdown``
-    (where the platform supports loop signal handlers).
+    (where the platform supports loop signal handlers).  The handlers go in
+    before ``announce(address)`` runs: the announce line is the readiness
+    contract scripts wait on, so a signal sent the moment it appears must
+    already drain gracefully.
     """
     import signal
 
     await service.start()
-    if announce is not None:
-        announce(f"repro serve listening on {service.address}")
     loop = asyncio.get_running_loop()
     for signum in (signal.SIGINT, signal.SIGTERM):
         try:
             loop.add_signal_handler(signum, service.begin_shutdown)
         except (NotImplementedError, RuntimeError, ValueError):
             pass  # non-main thread or unsupported platform
+    if announce is not None:
+        announce(service.address)
     await service.wait_closed()

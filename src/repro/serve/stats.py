@@ -171,23 +171,21 @@ class ServiceStats:
                 == self.requests
             )
 
+    #: The counters ``/stats`` and the drain-time ledger row both report.
+    COUNTERS = (
+        "requests", "hits", "coalesced", "executed", "failed", "rejected",
+        "batches", "shed", "timed_out", "retried", "drain_errors", "audited",
+        "audit_failures",
+    )
+
+    def _counters(self) -> dict:
+        return {name: getattr(self, name) for name in self.COUNTERS}
+
     def snapshot(self, *, queue_depth: int = 0, inflight: int = 0) -> dict:
         """A consistent JSON-safe view for the ``/stats`` endpoint."""
         with self._lock:
             return {
-                "requests": self.requests,
-                "hits": self.hits,
-                "coalesced": self.coalesced,
-                "executed": self.executed,
-                "failed": self.failed,
-                "rejected": self.rejected,
-                "batches": self.batches,
-                "shed": self.shed,
-                "timed_out": self.timed_out,
-                "retried": self.retried,
-                "drain_errors": self.drain_errors,
-                "audited": self.audited,
-                "audit_failures": self.audit_failures,
+                **self._counters(),
                 "served": self.hits + self.coalesced + self.executed,
                 "queue_depth": queue_depth,
                 "inflight": inflight,
@@ -204,19 +202,7 @@ class ServiceStats:
             return {
                 "kind": "serve",
                 "ts": round(time.time(), 3),
-                "requests": self.requests,
-                "hits": self.hits,
-                "coalesced": self.coalesced,
-                "executed": self.executed,
-                "failed": self.failed,
-                "rejected": self.rejected,
-                "batches": self.batches,
-                "shed": self.shed,
-                "timed_out": self.timed_out,
-                "retried": self.retried,
-                "drain_errors": self.drain_errors,
-                "audited": self.audited,
-                "audit_failures": self.audit_failures,
+                **self._counters(),
                 "uptime_seconds": round(time.time() - self.started_at, 3),
                 "backend": ",".join(sorted(self.per_backend)),
             }

@@ -7,9 +7,11 @@ builders that used to be copy-pasted across ``test_run_batch.py``,
 blocks of the differential fuzz harness (``test_differential_fuzz.py``)
 and the scenario tests (``test_scenarios.py``).
 
-Every strategy samples *small* workloads (scale 0.02–0.05, tiny seed
-pools): each drawn example simulates in milliseconds, so hypothesis can
-afford real example counts (the profiles live in the root ``conftest.py``).
+Every strategy samples *small* workloads by default (scale 0.02–0.05,
+tiny seed pools): each drawn example simulates in milliseconds, so
+hypothesis can afford real example counts (the profiles live in the root
+``conftest.py``).  :data:`BENCH_SCALES` is the exception: the scales
+people actually run, for a few slow derandomized examples.
 """
 
 import json
@@ -32,6 +34,11 @@ SINGLE_KERNEL_BACKENDS = ("reference", "vector") if HAVE_NUMPY else ("reference"
 #: (LWS thrasher, SWS, irregular MapReduce) and scheduler mechanisms.
 FUZZ_BENCHMARKS = ("ATAX", "SYRK", "WC")
 FUZZ_SCHEDULERS = ("gto", "lrr", "ccws")
+
+#: Bench-scale sizes for the differential fuzz's slow leg: the small
+#: default scales never reach some scheduler interleavings (a CCWS throttle
+#: landing on a due per-cycle update, for one).
+BENCH_SCALES = (0.1, 0.2, 0.3)
 
 #: Pinned tiny sizing shared by the multi-tenant and scenario tests.
 SMALL = RunConfig(scale=0.05, seed=1)
@@ -63,10 +70,11 @@ def strip_backend(payloads):
 
 
 def run_configs(*, scale=0.02, max_seed=3):
-    """``RunConfig`` strategy at a pinned scale with a tiny seed pool."""
+    """``RunConfig`` strategy at a pinned scale (or one drawn from a tuple
+    of scales) with a tiny seed pool."""
     return st.builds(
         RunConfig,
-        scale=st.just(scale),
+        scale=st.sampled_from(scale) if isinstance(scale, tuple) else st.just(scale),
         seed=st.integers(min_value=1, max_value=max_seed),
     )
 

@@ -1,6 +1,6 @@
 """Tests for the distributed sweep layer (``repro.harness.distributed``).
 
-The end-to-end classes drive real ``WorkerServer`` processes-worth of HTTP
+The end-to-end classes drive real ``ReproService`` workers over HTTP
 (an event loop per worker on a background thread, the blocking
 ``WorkerClient`` on this one) and pin the PR's acceptance contract: a
 sharded sweep returns results bit-identical to the single-machine sweep —
@@ -29,22 +29,20 @@ from repro.api import (
     TenantSpec,
     decode_request_batch,
     encode_request_batch,
-    result_digest,
 )
 from repro.harness.cache import ResultCache
 from repro.harness.distributed import (
-    DEFAULT_WORKER_PORT,
     OUTCOME_SCHEMA,
     WorkerClient,
     WorkerError,
     WorkerRef,
     WorkerSchemaError,
-    WorkerServer,
     load_worker_roster,
     parse_workers_at,
     run_distributed,
 )
 from repro.harness.faults import corrupt_result
+from repro.harness.integrity import result_digest
 from repro.harness.ledger import read_ledger_report
 from repro.harness.manifest import load_manifest
 from repro.harness.parallel import (
@@ -55,6 +53,7 @@ from repro.harness.parallel import (
     run_jobs,
 )
 from repro.serve.http import canonical_json
+from repro.serve.server import ReproService
 from repro.version import __version__
 
 SMALL = RunConfig(scale=0.02, seed=1)
@@ -203,13 +202,14 @@ class TestWireForms:
 # Live workers (in-process event loops, real sockets)
 # ---------------------------------------------------------------------------
 class WorkerHandle:
-    """A live ``WorkerServer`` on a background event-loop thread."""
+    """A live service (worker defaults) on a background event-loop thread."""
 
     def __init__(self, **kwargs):
         kwargs.setdefault("host", "127.0.0.1")
         kwargs.setdefault("port", 0)
         kwargs.setdefault("cache", None)
-        self.server = WorkerServer(**kwargs)
+        kwargs.setdefault("workers", 1)
+        self.server = ReproService(**kwargs)
         self._started = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True)
         self._thread.start()
@@ -279,7 +279,6 @@ class DriftWorker:
         payload = canonical_json({
             "status": "ok",
             "kind": "worker",
-            "busy": False,
             "workers": 1,
             "version": "0.0.0",
             "batch_schema": 99,
@@ -397,7 +396,21 @@ class TestRunDistributed:
         assert len(entries) == len(jobs)
         assert all(e.status == "done" for e in entries.values())
         # Both workers actually participated (keys spread over the roster).
-        assert sum(h.server.batches for h in pair) >= 2
+        assert sum(h.server.batch_requests for h in pair) >= 2
+
+    def test_plain_serve_instance_is_a_worker(self):
+        """Any ``repro serve`` takes sweep work: a service with serve's
+        defaults (not the worker preset) returns what run_jobs returns."""
+        jobs = small_jobs()
+        handle = WorkerHandle(workers=2, batch_max=16, linger=0.05)
+        try:
+            outcome = run_distributed(jobs, [handle.ref], cache=None)
+        finally:
+            handle.close()
+        local = run_jobs(jobs, cache=None)
+        for (_, got), (_, want) in zip(outcome, local):
+            assert canonical_json(got.to_dict()) == canonical_json(want.to_dict())
+        assert handle.server.batch_jobs_done == len(jobs)
 
     def test_resume_serves_done_jobs_from_cache(self, pair, tmp_path):
         jobs = small_jobs()
@@ -434,9 +447,14 @@ class TestRunDistributed:
         dud = DudWorker()
         try:
             jobs = small_jobs()
+            # Shards hash the cache key, which embeds the source fingerprint,
+            # so either shard may come out empty: seat the dud on one that
+            # owns jobs, or there is nothing to re-dispatch.
+            plan = ShardPlan.build([job.cache_key() for job in jobs], 2)
+            roster = [dud.ref, worker.ref] if plan.shards[0] else [worker.ref, dud.ref]
             manifest = tmp_path / "manifest.jsonl"
             outcome = run_distributed(
-                jobs, [dud.ref, worker.ref], cache=None,
+                jobs, roster, cache=None,
                 manifest=manifest, chunk_size=1,
                 retry=RetryPolicy(max_attempts=3, backoff_base=0.001),
             )
@@ -540,6 +558,16 @@ class TestSchemaDrift:
         finally:
             drift.close()
 
+    def test_pre_merge_serve_endpoint_is_refused(self):
+        # A ``repro serve`` from before the /batch route answered /healthz
+        # with status and version only.
+        drift = DriftWorker(kind=None, batch_schema=None, outcome_schema=None)
+        try:
+            with pytest.raises(WorkerSchemaError, match="not a repro worker"):
+                run_distributed(small_jobs(1), [drift.ref], cache=None)
+        finally:
+            drift.close()
+
     def test_schema_error_is_a_usage_error(self):
         # The CLI maps ValueError to a one-line `error:` + exit 2.
         assert issubclass(WorkerSchemaError, ValueError)
@@ -611,7 +639,7 @@ class TestAudits:
                         )
             return outcome
 
-        monkeypatch.setattr("repro.harness.distributed.run_jobs", lying_run_jobs)
+        monkeypatch.setattr("repro.serve.server.run_jobs", lying_run_jobs)
         ledger = tmp_path / "ledger.jsonl"
         monkeypatch.setenv("REPRO_LEDGER", "1")
         monkeypatch.setenv("REPRO_LEDGER_PATH", str(ledger))
@@ -623,7 +651,7 @@ class TestAudits:
                 manifest=manifest, audit_rate=0.25,
                 retry=RetryPolicy(max_attempts=10, backoff_base=0.01),
             )
-            assert liar.server.batches >= 1  # the liar really participated
+            assert liar.server.batch_requests >= 1  # the liar really participated
         finally:
             honest.close()
             liar.close()
@@ -672,7 +700,7 @@ class TestAudits:
             return outcome
 
         monkeypatch.setattr(
-            "repro.harness.distributed.run_jobs", lies_on_second_batch
+            "repro.serve.server.run_jobs", lies_on_second_batch
         )
         jobs = small_jobs(4)
         cache = ResultCache(

@@ -11,23 +11,34 @@ produce exactly M simulations, every response is byte-identical to a direct
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import http.client
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
 from repro.api import (
+    BATCH_SCHEMA,
+    OUTCOME_SCHEMA,
     JobRecord,
     JobState,
     MultiTenantRequest,
     RunConfig,
     SimulationRequest,
     TenantSpec,
+    decode_request,
+    encode_request_batch,
     execute,
 )
 from repro.harness.cache import ResultCache
+from repro.harness.integrity import result_digest
 from repro.harness.faults import FaultPlan, configure_chaos
+from repro.harness.ledger import read_ledger
 from repro.harness.parallel import RetryPolicy
 from repro.serve import (
     BatchQueue,
@@ -36,8 +47,8 @@ from repro.serve import (
     ReproService,
     ServiceStats,
     canonical_json,
-    decode_request_payload,
 )
+from repro.version import __version__
 
 SMALL = RunConfig(scale=0.02, seed=1)
 
@@ -295,6 +306,89 @@ class TestServiceEndToEnd:
         assert stats["requests"] == 2 and stats["reconciles"] is True
 
 
+class TestOneService:
+    """``repro serve`` and ``repro worker`` are one service: same health
+    document, ``/batch`` on every instance, one launcher."""
+
+    def test_healthz_is_the_same_document_for_every_service(self, service_factory):
+        handle = service_factory(workers=3)
+        status, _, body = handle.request("GET", "/healthz")
+        assert status == 200
+        assert json.loads(body) == {
+            "status": "ok",
+            "version": __version__,
+            "kind": "worker",
+            "batch_schema": BATCH_SCHEMA,
+            "outcome_schema": OUTCOME_SCHEMA,
+            "workers": 3,
+        }
+
+    def test_digest_header_is_the_digest_of_the_received_body(
+        self, service_factory, tmp_path
+    ):
+        handle = service_factory(cache=ResultCache(tmp_path / "cache"), workers=1)
+        request = SimulationRequest("ATAX", "gto", SMALL)
+        for source in ("executed", "cache"):
+            status, headers, body = handle.simulate(request)
+            assert status == 200 and headers["x-repro-source"] == source
+            digest = headers["x-repro-digest"]
+            assert digest == hashlib.blake2b(body, digest_size=16).hexdigest()
+            assert digest == result_digest(json.loads(body))
+
+    def test_serve_instance_answers_batches(self, service_factory):
+        handle = service_factory(workers=1)
+        jobs = [SimulationRequest("ATAX", "gto", SMALL)]
+        status, _, body = handle.request(
+            "POST", "/batch", canonical_json(encode_request_batch(jobs))
+        )
+        assert status == 200
+        answer = json.loads(body)
+        assert answer["kind"] == "BatchOutcome"
+        (row,) = answer["outcomes"]
+        assert canonical_json(row["result"]) == direct_bytes(jobs[0])
+        assert handle.service.batch_requests == handle.service.batch_jobs_done == 1
+
+    @pytest.mark.parametrize("route", ["/simulate", "/batch"])
+    def test_drain_writes_a_serve_row_only_after_simulate(
+        self, route, service_factory, tmp_path, monkeypatch
+    ):
+        ledger = tmp_path / "ledger.jsonl"
+        monkeypatch.setenv("REPRO_LEDGER", "1")
+        monkeypatch.setenv("REPRO_LEDGER_PATH", str(ledger))
+        handle = service_factory(workers=1)
+        request = SimulationRequest("ATAX", "gto", SMALL)
+        if route == "/simulate":
+            assert handle.simulate(request)[0] == 200
+        else:
+            body = canonical_json(encode_request_batch([request]))
+            assert handle.request("POST", "/batch", body)[0] == 200
+        handle.shutdown()
+        kinds = [row.get("kind") for row in read_ledger(ledger)]
+        assert ("serve" in kinds) == (route == "/simulate")
+
+    def test_sigterm_at_announce_drains_cleanly(self):
+        """The launcher installs its signal handlers before announcing, so a
+        SIGTERM sent the moment the readiness line appears drains (exit 0)
+        instead of killing the process (exit 143)."""
+        script = (
+            "import asyncio, os, signal\n"
+            "from repro.serve import ReproService, run_service\n"
+            "service = ReproService(port=0, cache=None, workers=1)\n"
+            "asyncio.run(run_service(service, announce=lambda address: "
+            "os.kill(os.getpid(), signal.SIGTERM)))\n"
+            "print('drained' if service.drain_summary is not None else 'not drained')\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "drained"
+
+
 class TestResilienceEndToEnd:
     """Acceptance: an injected batch timeout and a shed request, with the
     /stats books still reconciling exactly."""
@@ -524,18 +618,18 @@ class TestServiceStats:
 class TestRequestDecoding:
     def test_dispatches_both_kinds(self):
         single = SimulationRequest("ATAX", "gto", SMALL)
-        assert decode_request_payload(single.to_dict()) == single
+        assert decode_request(single.to_dict()) == single
         multi = MultiTenantRequest(
             tenants=(TenantSpec("a", "ATAX", "gto", sm_ids=(0,)),),
             run_config=SMALL,
         )
-        assert decode_request_payload(multi.to_dict()) == multi
+        assert decode_request(multi.to_dict()) == multi
 
     def test_rejects_unknown_kind_and_non_mapping(self):
         with pytest.raises(ValueError, match="kind"):
-            decode_request_payload({"kind": "Nope"})
+            decode_request({"kind": "Nope"})
         with pytest.raises(ValueError, match="object"):
-            decode_request_payload([1, 2, 3])
+            decode_request([1, 2, 3])
 
 
 class TestJobLifecycle:

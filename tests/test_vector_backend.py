@@ -30,6 +30,7 @@ from repro.backends import (
 )
 from repro.gpu.config import GPUConfig
 from repro.gpu.vector.trace import clear_trace_cache, trace_cache_info
+from repro.harness.integrity import result_digest
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "golden_stats.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
@@ -116,6 +117,28 @@ def test_vector_matches_reference_with_wide_issue():
     assert _normalized(vector, backend_label="x") == _normalized(
         reference, backend_label="x"
     )
+
+
+@pytest.mark.parametrize(
+    "bench, scheduler, scale",
+    [("SYRK", "ccws", 0.1), ("ATAX", "ccws", 0.3), ("SYRK", "ccws", 0.3)],
+)
+def test_vector_matches_reference_at_bench_scale(bench, scheduler, scale):
+    """CCWS at the scales people run: a throttled warp's load must wait.
+
+    The vector engine once filtered throttled warps *before* CCWS's due
+    per-cycle update, so a warp throttled at that very cycle still issued
+    its load (SYRK×ccws @0.1: 33,803 vs 34,092 cycles on reference).  The
+    0.05-scale goldens never reach that interleaving.
+    """
+    config = RunConfig(scale=scale, seed=1)
+    reference = execute(
+        SimulationRequest(bench, scheduler, config, backend="reference")
+    )
+    vector = _vector_result(bench, scheduler, config)
+    assert result_digest(
+        _normalized(vector, backend_label="")
+    ) == result_digest(_normalized(reference, backend_label=""))
 
 
 def test_vector_result_carries_engine_label():
